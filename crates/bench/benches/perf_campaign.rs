@@ -1,5 +1,5 @@
-//! Campaign cost: the batched incremental tracker vs the per-pair
-//! incremental baseline vs naive per-step full re-sweeps.
+//! Campaign cost: the batched incremental tracker vs naive per-step full
+//! re-sweeps.
 //!
 //! A `T`-step attack campaign needs the exact survivor connectivity after
 //! every removal. The naive approach re-runs the full non-adjacent-pair
@@ -10,15 +10,14 @@
 //! attains the alive-degree bound (without touching the network at all),
 //! stops surviving probes after one augmenting path, and reuses the
 //! replayed decomposition instead of re-tracing it when the flow did not
-//! change. All three paths produce byte-identical results (asserted here
-//! against each other and tested in
-//! `kad_resilience::attack::incremental`); this bench quantifies the
-//! speedups on Bench-preset-sized overlay graphs and prints the
-//! flow-solve counts behind them.
+//! change. Both paths produce identical κ series (asserted here and tested
+//! in `kad_resilience::attack::incremental`); this bench quantifies the
+//! speedup on Bench-preset-sized overlay graphs and prints the flow-solve
+//! counts behind it.
 //!
-//! `batched_campaign` vs `incremental_campaign` measures the attack-phase
-//! cost (prebuilt tracker, one clone + the full victim schedule per
-//! iteration); `*_initial_sweep` measures the one-off construction.
+//! `batched_campaign` measures the attack-phase cost (prebuilt tracker,
+//! one clone + the full victim schedule per iteration);
+//! `batched_initial_sweep` measures the one-off construction.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use kad_bench::support::overlay_graph;
@@ -69,42 +68,29 @@ fn bench_campaign(c: &mut Criterion) {
         let victims = victim_schedule(&g, budget, 17);
         assert_eq!(victims.len(), budget);
 
-        // One-off instrumentation: count flow solves on every path and
-        // assert all three agree on every step's κ.
+        // One-off instrumentation: count flow solves and assert the
+        // tracker agrees with the naive re-sweep on every step's κ.
         {
             let t = std::time::Instant::now();
             let mut batched = IncrementalConnectivity::new(&g);
-            let batched_init_time = t.elapsed();
-            let t = std::time::Instant::now();
-            let mut per_pair = IncrementalConnectivity::with_engine(&g, false);
-            let per_pair_init_time = t.elapsed();
-            println!("  init sweep: batched {batched_init_time:.2?} vs per-pair {per_pair_init_time:.2?}");
+            println!("  init sweep: batched {:.2?}", t.elapsed());
             let batched_initial = batched.flows_computed();
-            let per_pair_initial = per_pair.flows_computed();
             let mut removed = HashSet::new();
             for &v in &victims {
                 batched.remove(v).expect("victim alive");
-                per_pair.remove(v).expect("victim alive");
                 removed.insert(v);
-                let min = full_resweep(&g, &removed);
                 assert_eq!(
                     batched.summary().min,
-                    min,
+                    full_resweep(&g, &removed),
                     "batched incremental diverged from full re-sweep"
-                );
-                assert_eq!(
-                    per_pair.summary().min,
-                    min,
-                    "per-pair incremental diverged from full re-sweep"
                 );
             }
             let batched_steps = batched.flows_computed() - batched_initial;
-            let per_pair_steps = per_pair.flows_computed() - per_pair_initial;
             println!(
                 "  n={n} k={k} budget={budget}: initial sweep {batched_initial} flows, \
-                 {batched_steps} batched vs {per_pair_steps} per-pair re-solves over \
-                 {budget} steps (naive would re-solve ≈ {} flows)",
-                per_pair_initial as usize * budget
+                 {batched_steps} batched re-solves over {budget} steps \
+                 (naive would re-solve ≈ {} flows)",
+                batched_initial as usize * budget
             );
             let built = IncrementalConnectivity::new(&g);
             let t = std::time::Instant::now();
@@ -129,7 +115,6 @@ fn bench_campaign(c: &mut Criterion) {
         // clones the prebuilt tracker (a memcpy, ~1% of the loop) and runs
         // the full victim schedule.
         let batched_base = IncrementalConnectivity::new(&g);
-        let per_pair_base = IncrementalConnectivity::with_engine(&g, false);
 
         group.bench_with_input(
             BenchmarkId::new("batched_campaign", format!("n{n}-T{budget}")),
@@ -147,24 +132,8 @@ fn bench_campaign(c: &mut Criterion) {
             },
         );
 
-        group.bench_with_input(
-            BenchmarkId::new("incremental_campaign", format!("n{n}-T{budget}")),
-            &per_pair_base,
-            |bencher, base| {
-                bencher.iter(|| {
-                    let mut tracker = base.clone();
-                    let mut series = Vec::with_capacity(victims.len());
-                    for &v in &victims {
-                        tracker.remove(v).expect("victim alive");
-                        series.push(tracker.summary().min);
-                    }
-                    black_box(series)
-                });
-            },
-        );
-
-        // Construction cost (the initial full sweep), batched vs per-pair —
-        // kept separate so the one-off setup does not drown the live path.
+        // Construction cost (the initial full sweep) — kept separate so the
+        // one-off setup does not drown the live path.
         group.bench_with_input(
             BenchmarkId::new("batched_initial_sweep", format!("n{n}")),
             &g,
@@ -172,16 +141,6 @@ fn bench_campaign(c: &mut Criterion) {
                 bencher.iter(|| black_box(IncrementalConnectivity::new(g).summary().min));
             },
         );
-        group.bench_with_input(
-            BenchmarkId::new("per_pair_initial_sweep", format!("n{n}")),
-            &g,
-            |bencher, g| {
-                bencher.iter(|| {
-                    black_box(IncrementalConnectivity::with_engine(g, false).summary().min)
-                });
-            },
-        );
-
         group.bench_with_input(
             BenchmarkId::new("naive_resweep_campaign", format!("n{n}-T{budget}")),
             &g,

@@ -11,7 +11,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use kad_bench::support::overlay_graph;
 use kad_resilience::pair::PairEvaluator;
 use kad_resilience::sampled::sampled_connectivity;
-use kad_resilience::{AnalysisConfig, SolverKind};
+use kad_resilience::AnalysisConfig;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::hint::black_box;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -100,7 +100,7 @@ fn bench_workspace_reuse(c: &mut Criterion) {
             BenchmarkId::new("workspace_reuse", format!("n{n}-k{k}")),
             &g,
             |bencher, g| {
-                let mut eval = PairEvaluator::new(g, SolverKind::Dinic);
+                let mut eval = PairEvaluator::new(g);
                 // Warm one full sweep so every buffer has reached its
                 // steady-state capacity, then count allocations.
                 sweep(&mut eval, &sources, g.node_count());
@@ -154,7 +154,7 @@ fn bench_workspace_reuse(c: &mut Criterion) {
                     for &v in &sources {
                         for w in 0..g.node_count() as u32 {
                             // Fresh Even network + solver scratch per pair.
-                            let mut eval = PairEvaluator::new(g, SolverKind::Dinic);
+                            let mut eval = PairEvaluator::new(g);
                             if let Some(flow) = eval.connectivity(v, w, None) {
                                 min = min.min(flow);
                             }

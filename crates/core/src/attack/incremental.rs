@@ -19,9 +19,8 @@
 //!    the residual network (arc ids are stable: the Even network is built
 //!    once and a removal just zeroes the victim's internal arc in place via
 //!    [`set_base_capacity`](flowgraph::maxflow::FlowNetwork::set_base_capacity))
-//!    and runs **one** Dinic
-//!    augmentation — `O(E)` instead of `O(κ·E)` — to decide between
-//!    `κ` and `κ − 1`.
+//!    and runs **one** augmentation — `O(E)` instead of `O(κ·E)` — to
+//!    decide between `κ` and `κ − 1`.
 //!
 //! Everything runs on the PR-1 workspace-reuse flow engine: one
 //! [`FlowWorkspace`], journaled `O(touched)` resets, zero steady-state
@@ -34,8 +33,7 @@
 //!   blocking flow instead of three `O(E)` passes (see
 //!   `flowgraph::maxflow::batched`). Repairs use the same bounds to skip
 //!   the probe augmentation entirely when the replayed paths already attain
-//!   the bound. [`IncrementalConnectivity::with_engine`] keeps the per-pair
-//!   path selectable as the benchmark baseline.
+//!   the bound.
 //! * **Incremental insertion.** [`IncrementalConnectivity::restore`]
 //!   (a removed vertex rejoins with its original edges) and
 //!   [`IncrementalConnectivity::insert_edge`] (a genuinely new routing-table
@@ -49,11 +47,9 @@
 //!   that epoch, so repeated κ queries between mutations — exactly what a
 //!   per-minute sampler does — are `O(1)`.
 //!
-//! Solvers: values are solver-independent, but decomposition extraction
-//! needs a genuine flow in the residual network, which Dinic and
-//! Edmonds–Karp terminate with; hi-level push-relabel stops at a preflow.
-//! The tracker therefore always runs Dinic (also the fastest solver on
-//! Even networks — see `perf_maxflow`).
+//! Engine: every solve runs [`BatchedDinic`] and every repair or
+//! reinforcement one [`probe_unit_augment`]. Decomposition extraction needs
+//! a genuine flow in the residual network, which both leave behind.
 //!
 //! # Example
 //!
@@ -75,7 +71,7 @@
 use super::AttackError;
 use crate::sampled::SampledConnectivity;
 use flowgraph::even::{EdgeCapacity, EvenNetwork};
-use flowgraph::maxflow::{probe_unit_augment, BatchedDinic, FlowWorkspace, MaxFlow, Solver};
+use flowgraph::maxflow::{probe_unit_augment, BatchedDinic, FlowWorkspace};
 use flowgraph::DiGraph;
 use std::cell::Cell;
 use std::collections::HashSet;
@@ -145,13 +141,12 @@ pub struct IncrementalConnectivity {
     /// Generation stamps over arc ids for decomposition tracing.
     arc_seen: Vec<u32>,
     generation: u32,
-    /// Dinic invocations so far (instrumentation: benches and tests assert
-    /// the incremental path solves far fewer flows than naive re-sweeps).
+    /// Engine solves and probes so far (instrumentation: benches and tests
+    /// assert the incremental path solves far fewer flows than naive
+    /// re-sweeps).
     flows: u64,
-    /// Shared-source level-graph engine for full solves, plus the switch
-    /// that keeps the per-pair path selectable as a benchmark baseline.
+    /// Shared-source level-graph engine for full solves.
     batched: BatchedDinic,
-    batched_enabled: bool,
     /// In-neighbors of each vertex in the *original* graph — what
     /// [`IncrementalConnectivity::restore`] re-wires (DiGraph stores only
     /// out-adjacency).
@@ -170,15 +165,6 @@ impl IncrementalConnectivity {
     /// pairs (`n(n−1) − m` max-flow computations), driven by the batched
     /// shared-source engine.
     pub fn new(g: &DiGraph) -> Self {
-        Self::with_engine(g, true)
-    }
-
-    /// Like [`IncrementalConnectivity::new`] with the batched engine
-    /// switchable: `batched = false` runs every solve per-pair with no
-    /// capacity-bound shortcuts — the pre-batching incremental path kept as
-    /// the `perf_campaign` baseline. Tracked values are identical either
-    /// way.
-    pub fn with_engine(g: &DiGraph, batched: bool) -> Self {
         let n = g.node_count();
         let original = Arc::new(g.clone());
         let even = EvenNetwork::from_shared(Arc::clone(&original), EdgeCapacity::Unit);
@@ -202,7 +188,6 @@ impl IncrementalConnectivity {
             generation: 0,
             flows: 0,
             batched: BatchedDinic::new(),
-            batched_enabled: batched,
             original_in,
             added_edges: HashSet::new(),
             epoch: 0,
@@ -593,27 +578,15 @@ impl IncrementalConnectivity {
             self.values[code] = UNDEFINED;
             return;
         }
-        let flow = if self.batched_enabled {
-            let bound = self.alive_bound(v, w);
-            self.batched.max_flow_bounded(
-                self.even.network_mut(),
-                EvenNetwork::out_vertex(v),
-                EvenNetwork::in_vertex(w),
-                None,
-                Some(bound),
-                &mut self.workspace,
-            )
-        } else {
-            let net = self.even.network_mut();
-            net.reset();
-            Solver::Dinic.max_flow_with(
-                net,
-                EvenNetwork::out_vertex(v),
-                EvenNetwork::in_vertex(w),
-                None,
-                &mut self.workspace,
-            )
-        };
+        let bound = self.alive_bound(v, w);
+        let flow = self.batched.max_flow_bounded(
+            self.even.network_mut(),
+            EvenNetwork::out_vertex(v),
+            EvenNetwork::in_vertex(w),
+            None,
+            Some(bound),
+            &mut self.workspace,
+        );
         self.flows += 1;
         self.record(code, v, w, flow);
     }
@@ -627,7 +600,7 @@ impl IncrementalConnectivity {
         let mut surviving = std::mem::take(&mut self.paths[code]);
         surviving.retain(|path| !path.contains(&broken_internal));
         let replayed = surviving.len() as u64;
-        if self.batched_enabled && replayed >= self.alive_bound(v, w) {
+        if replayed >= self.alive_bound(v, w) {
             // The surviving paths already attain the alive-degree bound:
             // they are a maximum flow. No replay, no probe, no re-trace —
             // the surviving list *is* the new decomposition, and its `uses`
@@ -647,21 +620,15 @@ impl IncrementalConnectivity {
             }
         }
         // One augmentation decides whether κ kept its value or dropped by
-        // one. The batched probe is a single early-exit BFS that augments
-        // the moment it reaches `t` (an exhausted BFS certifies failure);
-        // the per-pair baseline keeps the pre-batching full Dinic.
-        let extra = if self.batched_enabled {
-            probe_unit_augment(self.even.network_mut(), s, t, &mut self.workspace)
-        } else {
-            Solver::Dinic.max_flow_with(self.even.network_mut(), s, t, None, &mut self.workspace)
-        };
+        // one. The probe is a single early-exit BFS that augments the
+        // moment it reaches `t` (an exhausted BFS certifies failure).
+        let extra = probe_unit_augment(self.even.network_mut(), s, t, &mut self.workspace);
         self.flows += 1;
         debug_assert!(extra <= 1, "κ can drop by at most 1 per removal");
-        if extra == 0 && self.batched_enabled {
+        if extra == 0 {
             // The probe found nothing: the network's flow is exactly the
             // replayed paths, so they are the decomposition — skip the
-            // re-trace (the per-pair baseline keeps the pre-batching
-            // record() here, as `perf_campaign` measures it).
+            // re-trace.
             self.values[code] = replayed;
             self.paths[code] = surviving;
             return;
@@ -686,11 +653,7 @@ impl IncrementalConnectivity {
                 net.push(a, 1);
             }
         }
-        let extra = if self.batched_enabled {
-            probe_unit_augment(self.even.network_mut(), s, t, &mut self.workspace)
-        } else {
-            Solver::Dinic.max_flow_with(self.even.network_mut(), s, t, None, &mut self.workspace)
-        };
+        let extra = probe_unit_augment(self.even.network_mut(), s, t, &mut self.workspace);
         self.flows += 1;
         debug_assert!(extra <= 1, "one new cap-1 arc raises κ by at most 1");
         if extra == 0 {
@@ -820,7 +783,7 @@ mod tests {
             removed.insert(victim);
         }
         let (survivor, keep) = g.remove_vertices(&removed);
-        let mut oracle = crate::pair::PairEvaluator::new(&survivor, crate::SolverKind::Dinic);
+        let mut oracle = crate::pair::PairEvaluator::new(&survivor);
         for (new_v, &old_v) in keep.iter().enumerate() {
             for (new_w, &old_w) in keep.iter().enumerate() {
                 assert_eq!(
@@ -896,19 +859,31 @@ mod tests {
 
     #[test]
     fn per_pair_engine_matches_batched_engine() {
-        // with_engine(_, false) is the benchmark baseline; both engines
-        // must track identical values through a removal sequence.
+        // The tracker's batched solves and unit-probe repairs against a
+        // per-pair Edmonds–Karp oracle on the survivor graph, after every
+        // removal.
+        use flowgraph::maxflow::EdmondsKarp;
         let mut rng = SmallRng::seed_from_u64(41);
         let g = random_k_out_symmetric(16, 4, &mut rng);
-        let mut batched = IncrementalConnectivity::new(&g);
-        let mut per_pair = IncrementalConnectivity::with_engine(&g, false);
+        let mut tracker = IncrementalConnectivity::new(&g);
+        let mut removed: HashSet<u32> = HashSet::new();
         for victim in [5u32, 12, 1] {
-            batched.remove(victim).expect("valid");
-            per_pair.remove(victim).expect("valid");
-            assert_eq!(batched.summary(), per_pair.summary());
-            for v in 0..16u32 {
-                for w in 0..16u32 {
-                    assert_eq!(batched.pair_value(v, w), per_pair.pair_value(v, w));
+            tracker.remove(victim).expect("valid");
+            removed.insert(victim);
+            let (survivor, keep) = g.remove_vertices(&removed);
+            let mut even = EvenNetwork::from_graph(&survivor);
+            for (new_v, &old_v) in keep.iter().enumerate() {
+                for (new_w, &old_w) in keep.iter().enumerate() {
+                    assert_eq!(
+                        tracker.pair_value(old_v, old_w),
+                        even.vertex_connectivity(
+                            &EdmondsKarp::new(),
+                            new_v as u32,
+                            new_w as u32,
+                            None
+                        ),
+                        "pair ({old_v},{old_w}) after removing {victim}"
+                    );
                 }
             }
         }

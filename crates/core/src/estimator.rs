@@ -26,7 +26,6 @@
 //! is the property the validation tests lean on at small `n`.
 
 use crate::pair::PairEvaluator;
-use crate::SolverKind;
 use flowgraph::scc::is_strongly_connected;
 use flowgraph::DiGraph;
 use rand::rngs::SmallRng;
@@ -47,8 +46,6 @@ pub struct SampledKappaConfig {
     /// Seed for the pair draw. Estimation is fully deterministic given
     /// `(graph, config)`.
     pub seed: u64,
-    /// Max-flow solver evaluating each sampled pair.
-    pub solver: SolverKind,
 }
 
 impl Default for SampledKappaConfig {
@@ -58,7 +55,6 @@ impl Default for SampledKappaConfig {
             strata: 4,
             confidence: 0.95,
             seed: 0x5eed_cafe,
-            solver: SolverKind::default(),
         }
     }
 }
@@ -251,7 +247,7 @@ pub fn sampled_kappa(g: &DiGraph, config: &SampledKappaConfig) -> KappaEstimate 
         return KappaEstimate::trivial(k, (n - 1) as u64, strongly, confidence);
     }
 
-    let mut eval = PairEvaluator::new(g, config.solver);
+    let mut eval = PairEvaluator::new(g);
     if population <= config.target_pairs as u64 {
         return exhaustive_estimate(g, &mut eval, strongly, confidence);
     }

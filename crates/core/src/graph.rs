@@ -13,8 +13,8 @@ use flowgraph::DiGraph;
 /// * otherwise the minimum of `κ(v, w)` over all `n(n−1)` non-adjacent
 ///   ordered pairs, computed with cutoff pruning (sound for the minimum).
 ///
-/// The solver and parallelism settings of `config` are honoured; its
-/// sampling fraction is ignored (this is the full analysis).
+/// The parallelism setting of `config` is honoured; its sampling fraction
+/// is ignored (this is the full analysis).
 ///
 /// # Example
 ///
@@ -53,7 +53,7 @@ pub fn exact_connectivity(g: &DiGraph, config: &AnalysisConfig) -> u64 {
 /// Useful when only Equation 2 matters: a network tolerates `a`
 /// compromised nodes iff `κ(D) > a`, i.e. `has_connectivity_at_least(g,
 /// a + 1)`.
-pub fn has_connectivity_at_least(g: &DiGraph, threshold: u64, config: &AnalysisConfig) -> bool {
+pub fn has_connectivity_at_least(g: &DiGraph, threshold: u64) -> bool {
     let n = g.node_count();
     if threshold == 0 {
         return true;
@@ -71,7 +71,7 @@ pub fn has_connectivity_at_least(g: &DiGraph, threshold: u64, config: &AnalysisC
         // κ(D) ≤ min degree for non-complete graphs.
         return false;
     }
-    let mut eval = crate::pair::PairEvaluator::new(g, config.solver).with_batching(config.batched);
+    let mut eval = crate::pair::PairEvaluator::new(g);
     for v in 0..n as u32 {
         for w in 0..n as u32 {
             if let Some(flow) = eval.connectivity(v, w, Some(threshold)) {
@@ -154,17 +154,17 @@ mod tests {
         for _ in 0..8 {
             let g = gnp(14, 0.35, &mut rng);
             let kappa = exact_connectivity(&g, &config());
-            assert!(has_connectivity_at_least(&g, kappa, &config()));
-            assert!(!has_connectivity_at_least(&g, kappa + 1, &config()));
-            assert!(has_connectivity_at_least(&g, 0, &config()));
+            assert!(has_connectivity_at_least(&g, kappa));
+            assert!(!has_connectivity_at_least(&g, kappa + 1));
+            assert!(has_connectivity_at_least(&g, 0));
         }
     }
 
     #[test]
     fn decision_procedure_edge_cases() {
-        assert!(has_connectivity_at_least(&complete(5), 4, &config()));
-        assert!(!has_connectivity_at_least(&complete(5), 5, &config()));
-        assert!(!has_connectivity_at_least(&DiGraph::new(1), 1, &config()));
-        assert!(has_connectivity_at_least(&DiGraph::new(1), 0, &config()));
+        assert!(has_connectivity_at_least(&complete(5), 4));
+        assert!(!has_connectivity_at_least(&complete(5), 5));
+        assert!(!has_connectivity_at_least(&DiGraph::new(1), 1));
+        assert!(has_connectivity_at_least(&DiGraph::new(1), 0));
     }
 }

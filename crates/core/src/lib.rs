@@ -5,8 +5,8 @@
 //! Given a routing-table snapshot of a running overlay (or any directed
 //! graph), this crate computes:
 //!
-//! * `κ(v, w)` for vertex pairs ([`pair`]) via Even's transformation and a
-//!   max-flow solver,
+//! * `κ(v, w)` for vertex pairs ([`pair`]) via Even's transformation and
+//!   the batched max-flow engine (`flowgraph::maxflow::BatchedDinic`),
 //! * the exact graph connectivity `κ(D)` ([`graph`]) — minimum over all
 //!   non-adjacent ordered pairs, with the complete-graph shortcut and a
 //!   strong-connectivity pre-check,
@@ -50,20 +50,16 @@ pub mod pipeline;
 pub mod report;
 pub mod resilience;
 pub mod sampled;
-pub mod solver;
 
 pub use estimator::{sampled_kappa, KappaEstimate, SampledKappaConfig};
 pub use pipeline::{analyze_graph, analyze_snapshot, snapshot_to_digraph};
 pub use report::ConnectivityReport;
-pub use solver::SolverKind;
 
 use serde::{Deserialize, Serialize};
 
 /// How the connectivity of a graph is measured.
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
 pub struct AnalysisConfig {
-    /// Max-flow solver to use.
-    pub solver: SolverKind,
     /// Fraction `c` of vertices (smallest out-degree first) used as flow
     /// sources; `1.0` reproduces the full `n(n−1)` analysis. The paper
     /// found `c = 0.02` sufficient on every graph it validated.
@@ -82,25 +78,15 @@ pub struct AnalysisConfig {
     pub use_cutoff: bool,
     /// Compute pair flows on rayon worker threads.
     pub parallel: bool,
-    /// Route pair flows through the batched shared-source Dinic engine
-    /// (`flowgraph::maxflow::BatchedDinic`): one clean-network BFS level
-    /// graph per source is reused across every target, and a capacity-bound
-    /// early exit skips the final certifying BFS on bound-attaining pairs.
-    /// Values are exact either way — this is purely a speed lever, enabled
-    /// by default and only honored for the Dinic solver. Disable to measure
-    /// the per-pair baseline.
-    pub batched: bool,
 }
 
 impl Default for AnalysisConfig {
     fn default() -> Self {
         AnalysisConfig {
-            solver: SolverKind::Dinic,
             sample_fraction: 0.02,
             min_sources: 8,
             use_cutoff: false,
             parallel: true,
-            batched: true,
         }
     }
 }
@@ -157,12 +143,5 @@ mod tests {
     fn min_only_enables_cutoff() {
         assert!(AnalysisConfig::min_only().use_cutoff);
         assert!(!AnalysisConfig::paper_sampled().use_cutoff);
-    }
-
-    #[test]
-    fn batched_engine_is_the_default() {
-        assert!(AnalysisConfig::default().batched);
-        assert!(AnalysisConfig::exact().batched);
-        assert!(AnalysisConfig::min_only().batched);
     }
 }

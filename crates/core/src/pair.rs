@@ -1,6 +1,5 @@
 //! Pairwise vertex connectivity `κ(v, w)`.
 
-use crate::solver::SolverKind;
 use flowgraph::even::{EdgeCapacity, EvenNetwork};
 use flowgraph::maxflow::{BatchedDinic, FlowWorkspace};
 use flowgraph::DiGraph;
@@ -21,85 +20,53 @@ use std::sync::Arc;
 /// ```
 /// use flowgraph::generators::paper_figure1;
 /// use kad_resilience::pair::pair_connectivity;
-/// use kad_resilience::SolverKind;
 ///
 /// let g = paper_figure1();
-/// assert_eq!(pair_connectivity(&g, 0, 8, SolverKind::Dinic), Some(1));
+/// assert_eq!(pair_connectivity(&g, 0, 8), Some(1));
 /// ```
-pub fn pair_connectivity(g: &DiGraph, v: u32, w: u32, solver: SolverKind) -> Option<u64> {
-    PairEvaluator::new(g, solver).connectivity(v, w, None)
+pub fn pair_connectivity(g: &DiGraph, v: u32, w: u32) -> Option<u64> {
+    PairEvaluator::new(g).connectivity(v, w, None)
 }
 
-/// Reusable evaluator: one Even network, one solver, one workspace — many
-/// pairs, zero per-pair allocation.
+/// Reusable evaluator: one Even network, one batched max-flow engine, one
+/// workspace — many pairs, zero per-pair allocation.
 ///
-/// Cloning is cheap and exact: the underlying graph is shared (`Arc`), the
-/// residual network is duplicated so each clone can run independently, and
-/// the solver is a `Copy` enum — clones are how the parallel sweep hands
-/// each rayon worker its own evaluator.
+/// The engine is [`BatchedDinic`]: pairs that share a source reuse one
+/// clean-network BFS level graph, and a capacity-bound early exit skips
+/// the final certifying BFS on bound-attaining pairs.
+///
+/// Cloning is cheap and exact: the underlying graph is shared (`Arc`) and
+/// the residual network is duplicated so each clone can run independently
+/// — clones are how the parallel sweep hands each rayon worker its own
+/// evaluator.
 #[derive(Clone)]
 pub struct PairEvaluator {
     even: EvenNetwork,
-    solver: SolverKind,
-    /// Present when the batched shared-source engine drives the flows
-    /// (Dinic only); `None` falls back to the per-pair trait solvers.
-    batched: Option<BatchedDinic>,
+    engine: BatchedDinic,
     workspace: FlowWorkspace,
 }
 
 impl PairEvaluator {
-    /// Builds the evaluator for a graph. Dinic evaluators default to the
-    /// batched shared-source engine; see [`PairEvaluator::with_batching`].
-    pub fn new(g: &DiGraph, solver: SolverKind) -> Self {
-        Self::from_shared(Arc::new(g.clone()), solver)
+    /// Builds the evaluator for a graph.
+    pub fn new(g: &DiGraph) -> Self {
+        Self::from_shared(Arc::new(g.clone()))
     }
 
     /// Builds the evaluator around an already-shared graph, avoiding the
     /// graph clone of [`PairEvaluator::new`].
-    pub fn from_shared(g: Arc<DiGraph>, solver: SolverKind) -> Self {
+    pub fn from_shared(g: Arc<DiGraph>) -> Self {
         let even = EvenNetwork::from_shared(g, EdgeCapacity::Unit);
         let workspace = FlowWorkspace::for_network(even.network());
-        let batched = match solver {
-            SolverKind::Dinic => Some(BatchedDinic::new()),
-            _ => None,
-        };
         PairEvaluator {
             even,
-            solver,
-            batched,
+            engine: BatchedDinic::new(),
             workspace,
         }
-    }
-
-    /// Enables or disables the batched shared-source engine (only effective
-    /// for the Dinic solver — the other solvers always run per-pair).
-    /// κ values are identical either way; `false` is the measurement
-    /// baseline for the `perf_kappa` bench.
-    pub fn with_batching(mut self, batched: bool) -> Self {
-        self.batched = match (batched, self.solver) {
-            (true, SolverKind::Dinic) => Some(BatchedDinic::new()),
-            _ => None,
-        };
-        self
-    }
-
-    /// The solver this evaluator runs.
-    pub fn solver(&self) -> SolverKind {
-        self.solver
     }
 
     /// `κ(v, w)`, or `None` for adjacent/equal pairs. With a cutoff the
     /// result may be any certified lower bound `>= cutoff`.
     pub fn connectivity(&mut self, v: u32, w: u32, cutoff: Option<u64>) -> Option<u64> {
-        let Some(engine) = self.batched.as_mut() else {
-            return self.even.vertex_connectivity_with(
-                &self.solver,
-                v,
-                w,
-                cutoff,
-                &mut self.workspace,
-            );
-        };
         let n = self.even.original_node_count() as u32;
         assert!(v < n && w < n, "vertex out of range");
         let graph = self.even.graph();
@@ -110,7 +77,7 @@ impl PairEvaluator {
         // tighter than the generic capacity-bound scan and free to compute.
         let bound = (graph.out_degree(v) as u64).min(graph.in_degree(w) as u64);
         let (s, t) = (EvenNetwork::out_vertex(v), EvenNetwork::in_vertex(w));
-        Some(engine.max_flow_bounded(
+        Some(self.engine.max_flow_bounded(
             self.even.network_mut(),
             s,
             t,
@@ -125,20 +92,26 @@ impl PairEvaluator {
 mod tests {
     use super::*;
     use flowgraph::generators::{bidirected_cycle, complete, paper_figure1};
+    use flowgraph::maxflow::EdmondsKarp;
+
+    /// The reference oracle: `κ(v, w)` by Edmonds–Karp on a fresh Even
+    /// network.
+    fn oracle(g: &DiGraph, v: u32, w: u32) -> Option<u64> {
+        EvenNetwork::from_graph(g).vertex_connectivity(&EdmondsKarp::new(), v, w, None)
+    }
 
     #[test]
     fn figure1_pair() {
         let g = paper_figure1();
-        for kind in SolverKind::ALL {
-            assert_eq!(pair_connectivity(&g, 0, 8, kind), Some(1), "{kind}");
-        }
+        assert_eq!(pair_connectivity(&g, 0, 8), Some(1));
+        assert_eq!(oracle(&g, 0, 8), Some(1));
     }
 
     #[test]
     fn adjacent_pairs_undefined() {
         let g = paper_figure1();
-        assert_eq!(pair_connectivity(&g, 0, 1, SolverKind::Dinic), None);
-        assert_eq!(pair_connectivity(&g, 3, 3, SolverKind::Dinic), None);
+        assert_eq!(pair_connectivity(&g, 0, 1), None);
+        assert_eq!(pair_connectivity(&g, 3, 3), None);
     }
 
     #[test]
@@ -146,7 +119,7 @@ mod tests {
         let g = complete(5);
         for v in 0..5 {
             for w in 0..5 {
-                assert_eq!(pair_connectivity(&g, v, w, SolverKind::Dinic), None);
+                assert_eq!(pair_connectivity(&g, v, w), None);
             }
         }
     }
@@ -154,12 +127,12 @@ mod tests {
     #[test]
     fn evaluator_reuse_matches_one_shot() {
         let g = bidirected_cycle(10);
-        let mut eval = PairEvaluator::new(&g, SolverKind::Dinic);
+        let mut eval = PairEvaluator::new(&g);
         for v in 0..10u32 {
             for w in 0..10u32 {
                 assert_eq!(
                     eval.connectivity(v, w, None),
-                    pair_connectivity(&g, v, w, SolverKind::Dinic),
+                    pair_connectivity(&g, v, w),
                     "pair ({v},{w})"
                 );
             }
@@ -169,7 +142,7 @@ mod tests {
     #[test]
     fn cutoff_certifies_lower_bound() {
         let g = bidirected_cycle(12);
-        let mut eval = PairEvaluator::new(&g, SolverKind::Dinic);
+        let mut eval = PairEvaluator::new(&g);
         let bounded = eval.connectivity(0, 6, Some(1)).expect("non-adjacent");
         assert!(bounded >= 1);
         let exact = eval.connectivity(0, 6, None).expect("non-adjacent");
@@ -178,11 +151,21 @@ mod tests {
 
     #[test]
     fn clone_preserves_solver() {
+        // A clone runs the same engine: it agrees with the oracle on every
+        // pair.
         let g = bidirected_cycle(6);
-        let eval = PairEvaluator::new(&g, SolverKind::PushRelabel);
+        let eval = PairEvaluator::new(&g);
         let mut cloned = eval.clone();
-        assert_eq!(cloned.solver(), SolverKind::PushRelabel);
         assert_eq!(cloned.connectivity(0, 3, None), Some(2));
+        for v in 0..6u32 {
+            for w in 0..6u32 {
+                assert_eq!(
+                    cloned.connectivity(v, w, None),
+                    oracle(&g, v, w),
+                    "({v},{w})"
+                );
+            }
+        }
     }
 
     #[test]
@@ -191,12 +174,12 @@ mod tests {
         // the clone and the original agree with a fresh evaluator on every
         // remaining pair.
         let g = bidirected_cycle(8);
-        let mut eval = PairEvaluator::new(&g, SolverKind::Dinic);
+        let mut eval = PairEvaluator::new(&g);
         for w in 2..6u32 {
             eval.connectivity(0, w, None);
         }
         let mut cloned = eval.clone();
-        let mut fresh = PairEvaluator::new(&g, SolverKind::Dinic);
+        let mut fresh = PairEvaluator::new(&g);
         for v in 0..8u32 {
             for w in 0..8u32 {
                 let expected = fresh.connectivity(v, w, None);

@@ -41,9 +41,7 @@ pub fn tolerates(kappa: u64, attackers: u64) -> bool {
 }
 
 /// Measures a graph's resilience directly: Equation 2 applied to the exact
-/// `κ(D)` computed by [`crate::graph::exact_connectivity`] — which routes
-/// its pair flows through the batched shared-source engine whenever
-/// `config.batched` is set.
+/// `κ(D)` computed by [`crate::graph::exact_connectivity`].
 ///
 /// # Example
 ///
@@ -99,16 +97,24 @@ mod tests {
 
     #[test]
     fn graph_resilience_matches_exact_connectivity() {
+        use flowgraph::even::EvenNetwork;
         use flowgraph::generators::{bidirected_cycle, cycle};
+        use flowgraph::maxflow::EdmondsKarp;
         let config = crate::AnalysisConfig::default();
-        // κ = 2 ring → r = 1; κ = 1 directed cycle → r = 0; and the batched
-        // engine agrees with the per-pair baseline.
+        // κ = 2 ring → r = 1; κ = 1 directed cycle → r = 0.
         assert_eq!(graph_resilience(&bidirected_cycle(9), &config), 1);
         assert_eq!(graph_resilience(&cycle(9), &config), 0);
-        let per_pair = crate::AnalysisConfig {
-            batched: false,
-            ..config
-        };
-        assert_eq!(graph_resilience(&bidirected_cycle(9), &per_pair), 1);
+        // The engine agrees with an Edmonds–Karp oracle over every pair.
+        let ring = bidirected_cycle(9);
+        let mut even = EvenNetwork::from_graph(&ring);
+        let oracle = (0..9u32)
+            .flat_map(|v| (0..9u32).map(move |w| (v, w)))
+            .filter_map(|(v, w)| even.vertex_connectivity(&EdmondsKarp::new(), v, w, None))
+            .min()
+            .expect("non-adjacent pairs");
+        assert_eq!(
+            graph_resilience(&ring, &config),
+            resilience_from_connectivity(oracle)
+        );
     }
 }

@@ -103,9 +103,9 @@ pub fn connectivity_from_sources(
     let use_cutoff = config.use_cutoff;
     // One prototype evaluator; workers clone it, sharing the graph behind
     // an `Arc` and duplicating only the residual network + workspace. Each
-    // worker then sweeps its sources with zero per-pair allocation — and,
-    // with batching on, one shared level graph per source.
-    let prototype = PairEvaluator::new(g, config.solver).with_batching(config.batched);
+    // worker then sweeps its sources with zero per-pair allocation and one
+    // shared level graph per source.
+    let prototype = PairEvaluator::new(g);
 
     let sweep_source = |eval: &mut PairEvaluator, v: u32| -> (u64, u128, usize, usize) {
         let mut local_min = u64::MAX;
@@ -118,8 +118,8 @@ pub fn connectivity_from_sources(
                 if current == u64::MAX {
                     None
                 } else {
-                    // Never cut off below 1: a cutoff of 0 would make every
-                    // solver return 0 immediately once some pair is
+                    // Never cut off below 1: a cutoff of 0 would make the
+                    // engine return 0 immediately once some pair is
                     // unreachable, corrupting the zero-pair count (and a
                     // flow of "at least 0" prunes nothing anyway). With the
                     // clamp, a returned 0 is always a genuine zero pair, so
@@ -188,7 +188,6 @@ pub fn connectivity_from_sources(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::SolverKind;
     use flowgraph::generators::{
         bidirected_cycle, complete, cycle, gnp, paper_figure1, random_k_out_symmetric,
     };
@@ -343,18 +342,23 @@ mod tests {
 
     #[test]
     fn solvers_agree_on_sampled_sweeps() {
+        // The batched engine against the Edmonds–Karp oracle, pair by pair
+        // over every source.
+        use flowgraph::even::EvenNetwork;
+        use flowgraph::maxflow::EdmondsKarp;
         let mut rng = SmallRng::seed_from_u64(17);
         let g = gnp(18, 0.3, &mut rng);
-        let mut results = Vec::new();
-        for kind in SolverKind::ALL {
-            let config = AnalysisConfig {
-                solver: kind,
-                ..AnalysisConfig::exact()
-            };
-            results.push(sampled_connectivity(&g, &config));
-        }
-        assert_eq!(results[0], results[1]);
-        assert_eq!(results[1], results[2]);
+        let sweep = sampled_connectivity(&g, &AnalysisConfig::exact());
+        let mut even = EvenNetwork::from_graph(&g);
+        let flows: Vec<u64> = (0..18u32)
+            .flat_map(|v| (0..18u32).map(move |w| (v, w)))
+            .filter_map(|(v, w)| even.vertex_connectivity(&EdmondsKarp::new(), v, w, None))
+            .collect();
+        assert_eq!(sweep.pairs_evaluated, flows.len());
+        assert_eq!(sweep.min, *flows.iter().min().expect("non-adjacent pairs"));
+        assert_eq!(sweep.zero_pairs, flows.iter().filter(|&&f| f == 0).count());
+        let avg = flows.iter().sum::<u64>() as f64 / flows.len() as f64;
+        assert_eq!(sweep.avg, Some(avg));
     }
 
     #[test]

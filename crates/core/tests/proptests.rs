@@ -1,6 +1,8 @@
 //! Property-based tests for the connectivity analysis layer.
 
+use flowgraph::even::EvenNetwork;
 use flowgraph::generators;
+use flowgraph::maxflow::EdmondsKarp;
 use flowgraph::DiGraph;
 use kad_resilience::attack::{
     simulate_attack, AttackStrategy, Campaign, CampaignConfig, CampaignStrategy,
@@ -8,8 +10,9 @@ use kad_resilience::attack::{
 };
 use kad_resilience::estimator::{sampled_kappa, SampledKappaConfig};
 use kad_resilience::graph::{exact_connectivity, has_connectivity_at_least};
+use kad_resilience::pair::PairEvaluator;
 use kad_resilience::sampled::sampled_connectivity;
-use kad_resilience::{analyze_graph, AnalysisConfig, SolverKind};
+use kad_resilience::{analyze_graph, AnalysisConfig};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -19,6 +22,27 @@ fn arb_digraph(max_n: usize) -> impl Strategy<Value = DiGraph> {
         proptest::collection::vec((0..n as u32, 0..n as u32), 0..n * 5)
             .prop_map(move |edges| DiGraph::from_edges(n, edges))
     })
+}
+
+/// Brute-force Edmonds–Karp oracle: `κ(v, w)` for every non-adjacent
+/// ordered pair, in source-major order.
+fn oracle_flows(g: &DiGraph) -> Vec<u64> {
+    let n = g.node_count() as u32;
+    let mut even = EvenNetwork::from_graph(g);
+    (0..n)
+        .flat_map(|v| (0..n).map(move |w| (v, w)))
+        .filter_map(|(v, w)| even.vertex_connectivity(&EdmondsKarp::new(), v, w, None))
+        .collect()
+}
+
+/// The oracle's minimum, with the sweep's convention for graphs without a
+/// non-adjacent pair (`n − 1`, as for complete graphs).
+fn oracle_min(g: &DiGraph, flows: &[u64]) -> u64 {
+    flows
+        .iter()
+        .copied()
+        .min()
+        .unwrap_or(g.node_count() as u64 - 1)
 }
 
 proptest! {
@@ -38,30 +62,59 @@ proptest! {
         prop_assert_eq!(exact, full_again, "exact sweep is deterministic");
     }
 
-    /// All solvers agree on sampled sweeps.
+    /// The engine agrees with the Edmonds–Karp oracle on every pair, with
+    /// and without a cutoff (a cut-off value is a certified lower bound:
+    /// at least the cutoff, never above the exact value).
     #[test]
-    fn solver_equivalence(g in arb_digraph(12)) {
-        let base = AnalysisConfig::exact();
-        let reference = sampled_connectivity(&g, &base);
-        for solver in SolverKind::ALL {
-            let result = sampled_connectivity(&g, &AnalysisConfig { solver, ..base });
-            prop_assert_eq!(result.min, reference.min, "{}", solver);
-            let avg = result.avg.expect("exact sweep defines the mean");
-            let ref_avg = reference.avg.expect("exact sweep defines the mean");
-            prop_assert!((avg - ref_avg).abs() < 1e-9, "{}", solver);
+    fn solver_equivalence(g in arb_digraph(12), cutoff in 1u64..6) {
+        let n = g.node_count() as u32;
+        let mut eval = PairEvaluator::new(&g);
+        let mut even = EvenNetwork::from_graph(&g);
+        for v in 0..n {
+            for w in 0..n {
+                let exact = even.vertex_connectivity(&EdmondsKarp::new(), v, w, None);
+                prop_assert_eq!(eval.connectivity(v, w, None), exact, "({}, {})", v, w);
+                let bounded = eval.connectivity(v, w, Some(cutoff));
+                match (bounded, exact) {
+                    (Some(b), Some(e)) if e >= cutoff => {
+                        prop_assert!(b >= cutoff && b <= e, "({}, {}): {} vs {}", v, w, b, e);
+                    }
+                    _ => prop_assert_eq!(bounded, exact, "below cutoff the value is exact"),
+                }
+            }
         }
     }
 
-    /// The batched shared-source engine sweeps to the same aggregates as
-    /// the per-pair baseline (both exact; only the work schedule differs).
+    /// The min-only sweep the live sampler runs (cutoff pruning, every
+    /// source) finds the oracle's minimum and zero-pair count.
     #[test]
     fn batched_sweep_matches_per_pair(g in arb_digraph(12)) {
-        let batched = sampled_connectivity(&g, &AnalysisConfig::exact());
-        let per_pair = sampled_connectivity(
+        let sweep = sampled_connectivity(
             &g,
-            &AnalysisConfig { batched: false, ..AnalysisConfig::exact() },
+            &AnalysisConfig { sample_fraction: 1.0, ..AnalysisConfig::min_only() },
         );
-        prop_assert_eq!(batched, per_pair);
+        let flows = oracle_flows(&g);
+        prop_assert_eq!(sweep.min, oracle_min(&g, &flows));
+        prop_assert_eq!(sweep.pairs_evaluated, flows.len());
+        prop_assert_eq!(sweep.zero_pairs, flows.iter().filter(|&&f| f == 0).count());
+    }
+
+    /// The exact sweep equals a brute-force Edmonds–Karp sweep over every
+    /// non-adjacent ordered pair.
+    #[test]
+    fn exact_sweep_matches_brute_force_oracle(g in arb_digraph(12)) {
+        let sweep = sampled_connectivity(&g, &AnalysisConfig::exact());
+        let flows = oracle_flows(&g);
+        let min = oracle_min(&g, &flows);
+        prop_assert_eq!(sweep.min, min);
+        prop_assert_eq!(sweep.pairs_evaluated, flows.len());
+        prop_assert_eq!(sweep.zero_pairs, flows.iter().filter(|&&f| f == 0).count());
+        let avg = if flows.is_empty() {
+            min as f64
+        } else {
+            flows.iter().sum::<u64>() as f64 / flows.len() as f64
+        };
+        prop_assert_eq!(sweep.avg, Some(avg));
     }
 
     /// Cutoff pruning preserves the exact minimum.
@@ -109,8 +162,8 @@ proptest! {
     fn decision_procedure_brackets(g in arb_digraph(10)) {
         let config = AnalysisConfig::default();
         let kappa = exact_connectivity(&g, &config);
-        prop_assert!(has_connectivity_at_least(&g, kappa, &config));
-        prop_assert!(!has_connectivity_at_least(&g, kappa + 1, &config));
+        prop_assert!(has_connectivity_at_least(&g, kappa));
+        prop_assert!(!has_connectivity_at_least(&g, kappa + 1));
     }
 
     /// Reports are internally consistent.

@@ -50,12 +50,19 @@ fn scan_u64(text: &str, key: &str, from: usize) -> Option<(u64, usize)> {
 /// Parses one criterion-shim report into `(bench-qualified id, median_ns)`
 /// rows. Returns `Err` with a description when the shape is not the
 /// shim's.
+///
+/// Each result's `median_ns` is looked up only inside that result's own
+/// (flat) object, so a result missing its median is an error rather than
+/// silently borrowing the next result's.
 pub fn parse_bench_report(text: &str) -> Result<Vec<(String, u64)>, String> {
     let (bench, mut cursor) =
         scan_string(text, "bench", 0).ok_or("missing \"bench\" name".to_string())?;
     let mut rows = Vec::new();
     while let Some((id, after_id)) = scan_string(text, "id", cursor) {
-        let (median, after_median) = scan_u64(text, "median_ns", after_id)
+        let object_end = text[after_id..]
+            .find('}')
+            .map_or(text.len(), |at| after_id + at);
+        let (median, after_median) = scan_u64(&text[..object_end], "median_ns", after_id)
             .ok_or_else(|| format!("result {id:?} has no \"median_ns\""))?;
         rows.push((format!("{bench}/{id}"), median));
         cursor = after_median;
@@ -68,7 +75,8 @@ pub fn parse_bench_report(text: &str) -> Result<Vec<(String, u64)>, String> {
 
 /// Scans `dir` for `BENCH_*.json` reports (excluding a previous
 /// `BENCH_summary.json`) and folds them into one summary. Files that fail
-/// to parse are reported in the error list but do not abort the sweep.
+/// to read (e.g. non-UTF-8 content) or to parse are reported in the error
+/// list but do not abort the sweep.
 pub fn summarize_dir(dir: &Path) -> std::io::Result<(BenchSummary, Vec<String>)> {
     let mut summary = BenchSummary::new();
     let mut problems = Vec::new();
@@ -81,8 +89,10 @@ pub fn summarize_dir(dir: &Path) -> std::io::Result<(BenchSummary, Vec<String>)>
         .collect();
     names.sort_unstable();
     for name in names {
-        let text = std::fs::read_to_string(dir.join(&name))?;
-        match parse_bench_report(&text) {
+        let parsed = std::fs::read_to_string(dir.join(&name))
+            .map_err(|err| err.to_string())
+            .and_then(|text| parse_bench_report(&text));
+        match parsed {
             Ok(rows) => summary.extend(rows),
             Err(why) => problems.push(format!("{name}: {why}")),
         }
@@ -136,6 +146,15 @@ mod tests {
     }
 
     #[test]
+    fn median_is_taken_from_the_result_itself() {
+        // A result without a median must not borrow the next result's.
+        let err =
+            parse_bench_report(r#"{"bench":"x","results":[{"id":"a"},{"id":"b","median_ns":5}]}"#)
+                .expect_err("result a has no median");
+        assert!(err.contains("\"a\""), "{err}");
+    }
+
+    #[test]
     fn renders_sorted_stable_json() {
         let mut summary = BenchSummary::new();
         summary.insert("b/later".to_string(), 2);
@@ -160,6 +179,19 @@ mod tests {
         assert_eq!(summary["perf_demo/grp/fast/n32"], 1500);
         assert_eq!(problems.len(), 1, "{problems:?}");
         assert!(problems[0].starts_with("BENCH_broken.json"));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn directory_sweep_reports_and_skips_non_utf8_reports() {
+        let dir = std::env::temp_dir().join(format!("bench-summary-utf8-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("temp dir");
+        std::fs::write(dir.join("BENCH_a_binary.json"), [0xff, 0xfe, 0x00]).expect("write binary");
+        std::fs::write(dir.join("BENCH_perf_demo.json"), REPORT).expect("write report");
+        let (summary, problems) = summarize_dir(&dir).expect("sweep continues past the bad file");
+        assert_eq!(summary.len(), 2, "{summary:?}");
+        assert_eq!(problems.len(), 1, "{problems:?}");
+        assert!(problems[0].starts_with("BENCH_a_binary.json"));
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -9,14 +9,14 @@
 //!   directed edge `(v, w)` iff `w` appears in `v`'s routing table.
 //! * [`even::EvenNetwork`] — Even's vertex-splitting transformation, which
 //!   reduces vertex connectivity to maximum flow (Section 4.3 of the paper).
-//! * [`maxflow`] — three interchangeable max-flow solvers:
-//!   [`maxflow::PushRelabel`] (a faithful re-implementation of the HIPR
-//!   highest-label push-relabel code the authors used),
-//!   [`maxflow::Dinic`] and [`maxflow::EdmondsKarp`] as cross-checking
-//!   baselines. All support *early cutoff*, the key trick that makes
-//!   minimum-connectivity search tractable.
-//! * [`dimacs`] — reader/writer for the DIMACS max-flow exchange format the
-//!   authors used between their Java tooling and the C HIPR binary.
+//! * [`maxflow`] — the max-flow engine: [`maxflow::BatchedDinic`] runs
+//!   every connectivity sweep (shared-source level-graph reuse plus a
+//!   capacity-bound early exit), built on the phases of [`maxflow::Dinic`];
+//!   [`maxflow::EdmondsKarp`] is the reference oracle the tests compare
+//!   against. All support *early cutoff*, the key trick that makes
+//!   minimum-connectivity search tractable. The paper ran the C solver HIPR
+//!   through DIMACS files; a max-flow value does not depend on the solver,
+//!   so neither is needed here.
 //! * [`scc`] — strong-connectivity pre-checks (a graph that is not strongly
 //!   connected has vertex connectivity zero).
 //! * [`mincut`] / [`paths`] — minimum vertex cut extraction and Menger path
@@ -45,7 +45,6 @@
 #![warn(missing_docs)]
 
 pub mod digraph;
-pub mod dimacs;
 pub mod even;
 pub mod generators;
 pub mod maxflow;
@@ -55,4 +54,4 @@ pub mod scc;
 
 pub use digraph::DiGraph;
 pub use even::EvenNetwork;
-pub use maxflow::{Dinic, EdmondsKarp, FlowNetwork, FlowWorkspace, MaxFlow, PushRelabel, Solver};
+pub use maxflow::{Dinic, EdmondsKarp, FlowNetwork, FlowWorkspace, MaxFlow};

@@ -4,8 +4,7 @@
 //! On the unit-capacity networks produced by Even's transform this is the
 //! asymptotically right choice — `O(E · √V)` — and with the `cutoff`
 //! parameter it degenerates into Even's classical "is `κ(v, w) ≥ k`?" test
-//! that stops after `k` augmenting paths. The experiment harness uses it as
-//! the default solver.
+//! that stops after `k` augmenting paths.
 //!
 //! Level-graph membership lives in a `u64`-word bitset rather than a
 //! sentinel in the level array: a BFS clears `n/64` words instead of

@@ -2,9 +2,10 @@
 //!
 //! `O(V · E²)` in general, but on the unit-capacity Even networks used for
 //! connectivity the number of augmentations is bounded by the connectivity
-//! value itself, so it is perfectly serviceable there. Kept primarily as the
-//! obviously-correct baseline that the fancier solvers are validated
-//! against.
+//! value itself, so it is perfectly serviceable there. It is the crate's
+//! one reference oracle: obviously correct, and what the tests compare the
+//! production engine ([`super::BatchedDinic`]) and [`super::Dinic`]
+//! against. No production path runs it.
 
 use super::{check_endpoints, FlowNetwork, FlowWorkspace, MaxFlow};
 

@@ -1,31 +1,30 @@
-//! Maximum-flow solvers over residual flow networks.
+//! Maximum-flow algorithms over residual flow networks.
 //!
 //! The paper computes vertex connectivity by running a max-flow solver (the
-//! C program HIPR) on Even-transformed connectivity graphs. This module
-//! provides three interchangeable solvers:
+//! C program HIPR) on Even-transformed connectivity graphs. A max-flow
+//! *value* does not depend on the algorithm that computes it, so this
+//! module keeps one production engine and one reference oracle:
 //!
-//! * [`PushRelabel`] — the *hi-level* (highest-label) push-relabel variant
-//!   with gap and global-relabeling heuristics; a faithful Rust
-//!   re-implementation of HIPR (Cherkassky & Goldberg 1995).
+//! * [`BatchedDinic`] — the engine every connectivity sweep runs. It is
+//!   built for *sweeps* rather than one-shot flows: it caches one
+//!   clean-network BFS level graph per (source, [`FlowNetwork::base_epoch`])
+//!   and reuses it across every target sharing that source, with a
+//!   capacity-bound early exit replacing the final certifying BFS on
+//!   bound-attaining pairs. It is stateful and so lives outside the
+//!   [`MaxFlow`] trait.
 //! * [`Dinic`] — level-graph blocking flow. On the unit-capacity networks
 //!   produced by Even's transform this runs in `O(E·√V)` and, combined with
 //!   an early cutoff, is exactly Even's classical algorithm for testing
-//!   `κ ≥ k`.
-//! * [`EdmondsKarp`] — BFS augmenting paths; the simple baseline used to
-//!   cross-check the other two.
+//!   `κ ≥ k`. [`BatchedDinic`] reuses its phases.
+//! * [`EdmondsKarp`] — BFS augmenting paths; the obviously-correct
+//!   reference oracle the tests compare the engine against.
 //!
-//! [`BatchedDinic`] is the fourth engine, built for connectivity *sweeps*
-//! rather than one-shot flows: it caches one clean-network BFS level graph
-//! per (source, [`FlowNetwork::base_epoch`]) and reuses it across every
-//! target sharing that source, with a capacity-bound early exit replacing
-//! the final certifying BFS on bound-attaining pairs. It is stateful and so
-//! lives outside the [`MaxFlow`] trait.
-//!
-//! All solvers implement [`MaxFlow`] and support an optional **cutoff**: the
-//! solver may stop as soon as it can prove the flow value is at least the
-//! cutoff. When scanning thousands of vertex pairs for the *minimum*
-//! connectivity, pairs that cannot lower the current minimum are abandoned
-//! almost immediately.
+//! [`Dinic`] and [`EdmondsKarp`] implement [`MaxFlow`], which is what lets
+//! tests swap the oracle in. Every algorithm supports an optional
+//! **cutoff**: it may stop as soon as it can prove the flow value is at
+//! least the cutoff. When scanning thousands of vertex pairs for the
+//! *minimum* connectivity, pairs that cannot lower the current minimum are
+//! abandoned almost immediately.
 //!
 //! # Workspaces
 //!
@@ -33,8 +32,8 @@
 //! so per-run allocation dominates once the flows themselves are cheap.
 //! Two mechanisms remove it:
 //!
-//! * [`FlowWorkspace`] owns every scratch buffer a solver needs (levels,
-//!   BFS queues, excess arrays, label buckets). Passing one through
+//! * [`FlowWorkspace`] owns every scratch buffer an algorithm needs
+//!   (levels, BFS queues, current-arc pointers). Passing one through
 //!   [`MaxFlow::max_flow_with`] makes repeated runs allocation-free; the
 //!   plain [`MaxFlow::max_flow`] entry point allocates a fresh workspace
 //!   per call for one-shot convenience.
@@ -42,23 +41,17 @@
 //!   so [`FlowNetwork::reset`] restores residual capacities in `O(touched)`
 //!   instead of `O(m)` — on sparse connectivity graphs with small cuts the
 //!   touched set is a tiny fraction of the arcs.
-//!
-//! [`Solver`] is the enum-dispatched selector used by the analysis crates:
-//! `Copy`, serializable, and statically dispatched in the inner loop.
 
 mod batched;
 mod dinic;
 mod edmonds_karp;
-mod push_relabel;
 
 pub use batched::{capacity_bound, probe_unit_augment, BatchedDinic};
 pub use dinic::Dinic;
 pub use edmonds_karp::EdmondsKarp;
-pub use push_relabel::PushRelabel;
 
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
-use std::fmt;
 
 /// Residual capacity value treated as "infinite".
 ///
@@ -333,8 +326,7 @@ impl FlowNetwork {
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct FlowWorkspace {
-    /// Vertex labels: Dinic levels, Edmonds–Karp predecessor arcs,
-    /// push-relabel distance labels.
+    /// Vertex labels: Dinic levels, Edmonds–Karp predecessor arcs.
     pub(crate) label: Vec<u32>,
     /// Current-arc pointers.
     pub(crate) cur: Vec<usize>,
@@ -345,12 +337,6 @@ pub struct FlowWorkspace {
     /// Bitset (one bit per vertex, `u64` words) marking vertices in the
     /// current level graph; clearing a bit removes a dead-end vertex.
     pub(crate) visited: Vec<u64>,
-    /// Push-relabel per-vertex excess.
-    pub(crate) excess: Vec<u64>,
-    /// Push-relabel active-vertex buckets by label (lazy deletion).
-    pub(crate) buckets: Vec<Vec<u32>>,
-    /// Push-relabel label occupancy counts.
-    pub(crate) label_count: Vec<u32>,
 }
 
 impl FlowWorkspace {
@@ -359,19 +345,15 @@ impl FlowWorkspace {
         FlowWorkspace::default()
     }
 
-    /// Creates a workspace pre-sized for `net`: the buffers every solver
-    /// uses are allocated up front, so the first Dinic/Edmonds–Karp run
-    /// allocates nothing. Push-relabel's extra buffers (excess, label
-    /// buckets) are sized lazily on its first run instead of here — most
-    /// evaluators never run it, and per-worker workspace clones would
-    /// duplicate the dead weight.
+    /// Creates a workspace pre-sized for `net`, so the first run
+    /// allocates nothing.
     pub fn for_network(net: &FlowNetwork) -> Self {
         let mut ws = FlowWorkspace::new();
         ws.ensure_basic(net.node_count());
         ws
     }
 
-    /// Grows the label/cur buffers (used by every solver) to `n` vertices.
+    /// Grows the label/cur/visited buffers to `n` vertices.
     pub(crate) fn ensure_basic(&mut self, n: usize) {
         if self.label.len() < n {
             self.label.resize(n, u32::MAX);
@@ -380,18 +362,6 @@ impl FlowWorkspace {
         let words = words_for(n);
         if self.visited.len() < words {
             self.visited.resize(words, 0);
-        }
-    }
-
-    /// Grows the push-relabel-specific buffers for `n` vertices.
-    pub(crate) fn ensure_push_relabel(&mut self, n: usize) {
-        self.ensure_basic(n);
-        if self.excess.len() < n {
-            self.excess.resize(n, 0);
-        }
-        if self.buckets.len() < 2 * n + 1 {
-            self.buckets.resize_with(2 * n + 1, Vec::new);
-            self.label_count.resize(2 * n + 1, 0);
         }
     }
 }
@@ -430,63 +400,6 @@ pub trait MaxFlow {
 
     /// Human-readable solver name for reports and benches.
     fn name(&self) -> &'static str;
-}
-
-/// Enum-dispatched solver selection: `Copy`, serializable, and statically
-/// dispatched — the analysis crates use this instead of `Box<dyn MaxFlow>`
-/// so per-worker evaluators are trivially `Clone` and the per-pair inner
-/// loop has no virtual calls.
-///
-/// The paper ran HIPR (highest-label push-relabel); [`Solver::Dinic`] is
-/// the default here because on the unit-capacity networks produced by
-/// Even's transform it is both asymptotically right and empirically fastest
-/// (see the `perf_maxflow` bench). All solvers produce identical values —
-/// that equivalence is property-tested.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum Solver {
-    /// Dinic's level-graph algorithm (default).
-    #[default]
-    Dinic,
-    /// HIPR-style highest-label push-relabel — the paper's solver.
-    PushRelabel,
-    /// Edmonds–Karp BFS augmenting paths — the baseline.
-    EdmondsKarp,
-}
-
-impl Solver {
-    /// All solver kinds, for cross-checking tests and benches.
-    pub const ALL: [Solver; 3] = [Solver::Dinic, Solver::PushRelabel, Solver::EdmondsKarp];
-}
-
-impl MaxFlow for Solver {
-    fn max_flow_with(
-        &self,
-        net: &mut FlowNetwork,
-        s: u32,
-        t: u32,
-        cutoff: Option<u64>,
-        workspace: &mut FlowWorkspace,
-    ) -> u64 {
-        match self {
-            Solver::Dinic => Dinic::new().max_flow_with(net, s, t, cutoff, workspace),
-            Solver::PushRelabel => PushRelabel::new().max_flow_with(net, s, t, cutoff, workspace),
-            Solver::EdmondsKarp => EdmondsKarp::new().max_flow_with(net, s, t, cutoff, workspace),
-        }
-    }
-
-    fn name(&self) -> &'static str {
-        match self {
-            Solver::Dinic => "dinic",
-            Solver::PushRelabel => "push-relabel-hi",
-            Solver::EdmondsKarp => "edmonds-karp",
-        }
-    }
-}
-
-impl fmt::Display for Solver {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(MaxFlow::name(self))
-    }
 }
 
 /// Number of `u64` words needed for an `n`-bit vertex bitset.
@@ -539,11 +452,7 @@ mod tests {
     }
 
     fn solvers() -> Vec<Box<dyn MaxFlow>> {
-        vec![
-            Box::new(EdmondsKarp::new()),
-            Box::new(Dinic::new()),
-            Box::new(PushRelabel::new()),
-        ]
+        vec![Box::new(EdmondsKarp::new()), Box::new(Dinic::new())]
     }
 
     #[test]
@@ -681,24 +590,8 @@ mod tests {
     }
 
     #[test]
-    fn solver_enum_matches_concrete_solvers() {
-        for kind in Solver::ALL {
-            let mut via_enum = clrs_network();
-            let mut direct = clrs_network();
-            let expected = match kind {
-                Solver::Dinic => Dinic::new().max_flow(&mut direct, 0, 5, None),
-                Solver::PushRelabel => PushRelabel::new().max_flow(&mut direct, 0, 5, None),
-                Solver::EdmondsKarp => EdmondsKarp::new().max_flow(&mut direct, 0, 5, None),
-            };
-            assert_eq!(kind.max_flow(&mut via_enum, 0, 5, None), expected, "{kind}");
-        }
-    }
-
-    #[test]
     fn conservation_after_flow() {
-        // Push-relabel stage 1 only guarantees a preflow inside the graph,
-        // but Dinic and Edmonds-Karp produce genuine flows.
-        for solver in [&EdmondsKarp::new() as &dyn MaxFlow, &Dinic::new()] {
+        for solver in solvers() {
             let mut net = clrs_network();
             let flow = solver.max_flow(&mut net, 0, 5, None);
             assert!(net.conservation_holds(0, 5), "solver {}", solver.name());
@@ -709,7 +602,7 @@ mod tests {
 
     #[test]
     fn min_cut_matches_flow_value() {
-        for solver in [&EdmondsKarp::new() as &dyn MaxFlow, &Dinic::new()] {
+        for solver in solvers() {
             let mut net = clrs_network();
             let flow = solver.max_flow(&mut net, 0, 5, None);
             let reach = net.residual_reachable(0);

@@ -10,7 +10,6 @@
 //! cargo run --release --example even_transform
 //! ```
 
-use kademlia_resilience::flowgraph::dimacs;
 use kademlia_resilience::flowgraph::even::{unit_flow_network, EvenNetwork};
 use kademlia_resilience::flowgraph::generators::paper_figure1;
 use kademlia_resilience::flowgraph::maxflow::{Dinic, MaxFlow};
@@ -60,13 +59,4 @@ fn main() {
         let p: Vec<&str> = path.iter().map(|&v| names[v as usize]).collect();
         println!("node-disjoint path: {}", p.join(" → "));
     }
-
-    // The DIMACS file the authors would have fed to HIPR.
-    let problem = dimacs::write(
-        even.network(),
-        EvenNetwork::out_vertex(a),
-        EvenNetwork::in_vertex(i),
-        "Figure 1 transformed graph (Even)",
-    );
-    println!("\nDIMACS max-flow problem for HIPR:\n{problem}");
 }

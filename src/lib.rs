@@ -8,8 +8,9 @@
 //! * [`dessim`] — deterministic discrete-event simulation kernel (the
 //!   PeerSim substitute).
 //! * [`kademlia`] — the Kademlia overlay protocol running on `dessim`.
-//! * [`flowgraph`] — directed graphs, Even's transformation and max-flow
-//!   solvers (the HIPR substitute).
+//! * [`flowgraph`] — directed graphs, Even's transformation and the
+//!   batched max-flow engine (the HIPR substitute), with Edmonds–Karp as
+//!   the reference oracle.
 //! * [`kad_resilience`] — vertex-connectivity and resilience analysis (the
 //!   paper's primary contribution).
 //! * [`kad_experiments`] — the scenario matrix and figure/table harness.
