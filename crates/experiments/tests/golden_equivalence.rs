@@ -9,6 +9,12 @@
 //! for porting the runners onto the shared [`kad_experiments::session`]
 //! driver. A diff in any of these tests means the refactor changed the
 //! event order, an RNG draw, or a format string somewhere.
+//!
+//! `sampling-table0.csv` and `fig2-figure0.csv` pin the two κ-heavy
+//! registry outputs (`repro sampling` and `repro fig2`, same scale and
+//! seed; their SHA-256 sums are the ones `perfbench/pinned.json` checks).
+//! They guard the max-flow kernels: a kernel change may route different
+//! flows but must not change one κ value.
 
 use kad_experiments::matrix::MatrixRunner;
 use kad_experiments::scale::Scale;
@@ -168,5 +174,42 @@ fn observed_defense_csvs_are_byte_identical_to_goldens() {
         "defense-summary.csv (observed)",
         &defense_summary_csv(&outcomes),
         include_str!("golden/defense-summary.csv"),
+    );
+}
+
+/// Runs one registry experiment at bench scale and returns its CSVs in
+/// the order `repro --out` writes them (figures, then tables).
+fn registry_csvs(id: kad_experiments::figures::ExperimentId) -> Vec<String> {
+    let result = kad_experiments::figures::run_experiment(id, Scale::Bench, SEED);
+    let figures = result.figures.iter().map(|f| f.to_csv());
+    figures
+        .chain(result.tables.iter().map(|t| t.to_csv()))
+        .collect()
+}
+
+/// The κ-heavy registry outputs: `repro sampling` estimates κ from sampled
+/// vertex pairs and `repro fig2` measures κ_min/κ_avg every minute, so a
+/// max-flow kernel change that altered a single value shows up here.
+#[test]
+fn sampling_csv_is_byte_identical_to_golden() {
+    use kad_experiments::figures::ExperimentId;
+    let csvs = registry_csvs(ExperimentId::Sampling);
+    assert_eq!(csvs.len(), 1, "sampling renders one table");
+    assert_csv_identical(
+        "sampling-table0.csv",
+        &csvs[0],
+        include_str!("golden/sampling-table0.csv"),
+    );
+}
+
+#[test]
+fn fig2_csv_is_byte_identical_to_golden() {
+    use kad_experiments::figures::ExperimentId;
+    let csvs = registry_csvs(ExperimentId::Fig2);
+    assert_eq!(csvs.len(), 1, "fig2 renders one figure");
+    assert_csv_identical(
+        "fig2-figure0.csv",
+        &csvs[0],
+        include_str!("golden/fig2-figure0.csv"),
     );
 }

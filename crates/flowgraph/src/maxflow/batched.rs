@@ -11,9 +11,13 @@
 //!   the clean network once; because it is computed on the reset network and
 //!   never stops at a sink, it is a valid first-phase level graph for
 //!   *every* target. Re-targeting costs an `O(n/64)` bitset copy instead of
-//!   an `O(E)` BFS. Later phases (rarely needed on Kademlia-like graphs)
-//!   fall back to fresh per-target BFS — the phase sequence after phase one
-//!   is ordinary Dinic, so values stay exact.
+//!   an `O(E)` BFS, and the blocking flow walks only the levels below the
+//!   target's, so the layers past it cost nothing. Later phases fall back
+//!   to per-target BFS that stops at the target's layer — the phase
+//!   sequence after phase one is ordinary Dinic, so values stay exact.
+//!   A pair that stops short of both its cutoff and its capacity bound —
+//!   the pairs a κ_min sweep is looking for — always runs at least one of
+//!   them, since only a failing BFS certifies its value.
 //! * **Capacity-bound early exit.** `min(Σ cap out of s, Σ cap into t)` is
 //!   an upper bound on the max flow; when the achieved flow reaches it, it
 //!   *is* the maximum and the failing BFS is skipped. On Even/unit networks
@@ -61,9 +65,10 @@ pub fn capacity_bound(net: &FlowNetwork, s: u32, t: u32) -> u64 {
 /// This is the probe the incremental κ tracker runs per dirty pair:
 /// removing a vertex or inserting a cap-1 arc changes any pair's max flow
 /// by at most 1, so one augmentation decides between the replayed value
-/// and its successor — and stopping the BFS at discovery skips the rest of
-/// the scan in the no-drop case, where a full Dinic phase would keep
-/// layering the whole residual-reachable set.
+/// and its successor. Augmenting along the BFS parent chain the moment `t`
+/// is discovered skips the level-graph DFS a Dinic phase would add. Like
+/// the Dinic kernels, the BFS walks [`FlowNetwork::scan_arcs`], so the
+/// replayed flow's few open stubs are the only ones it scans.
 ///
 /// # Panics
 ///
@@ -93,7 +98,7 @@ pub fn probe_unit_augment(
     bit_set(visited, s);
     queue.push_back(s);
     while let Some(u) = queue.pop_front() {
-        for &a in net.arcs_from(u) {
+        for &a in net.scan_arcs(u) {
             if net.residual(a) == 0 {
                 continue;
             }

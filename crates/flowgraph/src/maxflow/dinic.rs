@@ -12,6 +12,14 @@
 //! single bit clear. The blocking-flow DFS is shared with
 //! [`super::BatchedDinic`], which substitutes a cached clean-network level
 //! graph for the first phase.
+//!
+//! Both kernels are **target-bounded**: every shortest augmenting path
+//! reaches the sink at its level `L` and visits only vertices below `L` on
+//! the way. The BFS therefore stops the moment it labels the sink, and the
+//! DFS never advances into a vertex at level `L` or above other than the
+//! sink. Both kernels walk [`FlowNetwork::scan_arcs`], so a vertex's
+//! reverse stubs are scanned only while one of them holds residual
+//! capacity.
 
 use super::{
     bit_clear, bit_set, bit_test, check_endpoints, words_for, FlowNetwork, FlowWorkspace, MaxFlow,
@@ -47,8 +55,10 @@ impl Dinic {
 /// BFS over the residual graph from `s`, filling `level` and the `visited`
 /// bitset (levels are meaningful only where the visited bit is set).
 ///
-/// With `t = Some(sink)` the search does not expand beyond the sink (its
-/// levels would never be used) and the return value says whether the sink
+/// With `t = Some(sink)` the search stops as soon as it labels the sink, at
+/// some level `L`: every vertex below `L` is labelled by then, which is all
+/// a blocking flow toward the sink uses. Vertices past `L` stay unlabelled
+/// and only part of level `L` is. The return value says whether the sink
 /// was reached. With `t = None` the whole residual-reachable set is layered
 /// — the form [`super::BatchedDinic`] uses to build a target-independent
 /// level graph — and the return value is `true`.
@@ -67,7 +77,7 @@ pub(crate) fn level_bfs(
     bit_set(visited, s);
     queue.push_back(s);
     while let Some(u) = queue.pop_front() {
-        for &a in net.arcs_from(u) {
+        for &a in net.scan_arcs(u) {
             if net.residual(a) == 0 {
                 continue;
             }
@@ -76,14 +86,16 @@ pub(crate) fn level_bfs(
                 bit_set(visited, v);
                 level[v as usize] = level[u as usize] + 1;
                 if t == Some(v) {
-                    // Levels beyond the sink are never used.
-                    continue;
+                    // `u` sits on the last level below the sink, so every
+                    // vertex of that level was queued before it: all
+                    // levels a blocking flow can use are complete.
+                    return true;
                 }
                 queue.push_back(v);
             }
         }
     }
-    t.is_none_or(|t| bit_test(visited, t))
+    t.is_none()
 }
 
 /// Sends a blocking flow from `s` to `t` through the level graph described
@@ -93,7 +105,16 @@ pub(crate) fn level_bfs(
 ///
 /// `cur` must be zeroed for the vertices of `net` and `visited` holds the
 /// level-graph membership bits, which the DFS consumes destructively
-/// (dead-end vertices are cleared out of it).
+/// (dead-end vertices are cleared out of it). `t` must be in the level
+/// graph; the DFS advances only into vertices below the sink's level and
+/// into the sink itself, so a level graph that layers past the sink (the
+/// cached full BFS of [`super::BatchedDinic`]) costs no more to walk than
+/// one that stops there.
+///
+/// Scanning [`FlowNetwork::scan_arcs`] instead of every arc is exact even
+/// though pushes open stubs mid-phase: pushing over an admissible arc
+/// `u -> v` opens the stub `v -> u`, which runs down a level and so is
+/// never admissible in the same phase.
 #[allow(clippy::too_many_arguments)] // takes the workspace fields split apart
 pub(crate) fn blocking_flow(
     net: &mut FlowNetwork,
@@ -106,6 +127,7 @@ pub(crate) fn blocking_flow(
     budget: u64,
 ) -> u64 {
     let mut sent: u64 = 0;
+    let sink_level = level[t as usize];
     path.clear();
     let mut u = s;
     // Iterative DFS sending one augmenting path at a time.
@@ -139,15 +161,19 @@ pub(crate) fn blocking_flow(
             };
             continue;
         }
-        // Advance over the current arc if admissible.
-        let arcs = net.arcs_from(u);
+        // Advance over the current arc if admissible: one level up, and
+        // below the sink's level unless it is the sink.
+        let arcs = net.scan_arcs(u);
+        let next = level[u as usize] + 1;
+        let sink_only = next >= sink_level;
         let mut advanced = false;
         while cur[u as usize] < arcs.len() {
             let a = arcs[cur[u as usize]];
             let v = net.arc_head(a);
             if net.residual(a) > 0
                 && bit_test(visited, v)
-                && level[v as usize] == level[u as usize] + 1
+                && level[v as usize] == next
+                && (!sink_only || v == t)
             {
                 path.push(a);
                 u = v;
@@ -276,6 +302,45 @@ mod tests {
         net.add_arc(3, 5, 1);
         net.add_arc(4, 5, 1);
         assert_eq!(Dinic::new().max_flow(&mut net, 0, 5, None), 2);
+    }
+
+    #[test]
+    fn sink_bounded_bfs_leaves_vertices_past_the_sink_unlabelled() {
+        // Two branches from 0: 0 -> 1 -> 2 -> 3 and 0 -> 4 -> 5 -> 6.
+        // With sink 2 (level 2), levels 0 and 1 must be complete; 3 and 6
+        // (level 3) must stay out of the level graph.
+        let mut net = FlowNetwork::new(7);
+        for (u, v) in [(0, 1), (1, 2), (2, 3), (0, 4), (4, 5), (5, 6)] {
+            net.add_arc(u, v, 1);
+        }
+        let mut level = vec![u32::MAX; 7];
+        let mut visited = vec![0u64; 1];
+        let mut queue = VecDeque::new();
+        assert!(level_bfs(
+            &net,
+            0,
+            Some(2),
+            &mut level,
+            &mut visited,
+            &mut queue
+        ));
+        for (v, l) in [(0u32, 0u32), (1, 1), (4, 1), (2, 2)] {
+            assert!(bit_test(&visited, v), "vertex {v} labelled");
+            assert_eq!(level[v as usize], l, "level of {v}");
+        }
+        for v in [3u32, 6] {
+            assert!(!bit_test(&visited, v), "vertex {v} is past the sink");
+            assert_eq!(level[v as usize], u32::MAX, "vertex {v} keeps no level");
+        }
+        // An unreachable sink exhausts the search and reports failure.
+        assert!(!level_bfs(
+            &net,
+            3,
+            Some(0),
+            &mut level,
+            &mut visited,
+            &mut queue
+        ));
     }
 
     #[test]

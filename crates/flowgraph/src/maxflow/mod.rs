@@ -41,6 +41,18 @@
 //!   so [`FlowNetwork::reset`] restores residual capacities in `O(touched)`
 //!   instead of `O(m)` — on sparse connectivity graphs with small cuts the
 //!   touched set is a tiny fraction of the arcs.
+//!
+//! # Closed reverse stubs
+//!
+//! Every arc `u -> v` brings a reverse stub `v -> u` of capacity 0, so a
+//! vertex with in-degree `d` carries `d` stubs that hold residual capacity
+//! only while flow runs over their forward arcs. On an Even network an
+//! in-copy has one forward arc and `indeg` stubs, and a κ flow crosses a
+//! handful of them. [`FlowNetwork`] therefore keeps each vertex's forward
+//! arcs ahead of its stubs and counts the stubs with positive residual;
+//! the kernels scan a vertex's stub segment only while that count is
+//! nonzero ([`FlowNetwork::scan_arcs`]), so expanding a flow-free in-copy
+//! costs `O(1)` instead of `O(indeg)`.
 
 mod batched;
 mod dinic;
@@ -50,7 +62,6 @@ pub use batched::{capacity_bound, probe_unit_augment, BatchedDinic};
 pub use dinic::Dinic;
 pub use edmonds_karp::EdmondsKarp;
 
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
 /// Residual capacity value treated as "infinite".
@@ -64,6 +75,10 @@ pub const INF_CAP: u64 = u64::MAX / 4;
 /// Arcs are stored in pairs: arc `i` and arc `i ^ 1` are mutual reverses, so
 /// pushing flow over `i` adds residual capacity to `i ^ 1`. This is the
 /// standard representation used by HIPR and virtually every max-flow code.
+/// [`add_arc`](FlowNetwork::add_arc) gives the forward arc the even id and
+/// its reverse stub the odd one. Each vertex lists its forward arcs ahead of
+/// its stubs and counts the stubs that hold residual capacity, which lets
+/// [`scan_arcs`](FlowNetwork::scan_arcs) skip the stubs while all are closed.
 ///
 /// Every [`push`](FlowNetwork::push) journals the touched arc pair, which
 /// makes [`reset`](FlowNetwork::reset) proportional to the flow actually
@@ -84,20 +99,25 @@ pub const INF_CAP: u64 = u64::MAX / 4;
 /// let flow = Dinic::new().max_flow(&mut net, 0, 3, None);
 /// assert_eq!(flow, 2);
 /// ```
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct FlowNetwork {
     n: usize,
     head: Vec<u32>,
     cap: Vec<u64>,
     orig_cap: Vec<u64>,
+    /// Arc ids leaving each vertex: its `forward[v]` forward (even) arcs
+    /// first, then its reverse stubs (odd), each in insertion order.
     adj: Vec<Vec<u32>>,
+    /// Number of forward arcs at the front of `adj[v]`.
+    forward: Vec<u32>,
+    /// Number of reverse stubs leaving `v` with positive residual.
+    open_stubs: Vec<u32>,
     /// Even-numbered ids of arc pairs pushed over since the last reset.
     /// May contain duplicates; restoring is idempotent.
     touched: Vec<u32>,
     /// Bumped whenever the *base* network changes (arcs added, base
     /// capacities edited) — never by flow pushes or resets. Level-graph
     /// caches key on this to know when a clean-network BFS is stale.
-    #[serde(default)]
     base_epoch: u64,
 }
 
@@ -105,7 +125,8 @@ impl PartialEq for FlowNetwork {
     fn eq(&self, other: &Self) -> bool {
         // The touched journal is bookkeeping, not network state: two
         // networks with equal capacities are equal regardless of how the
-        // flow that produced those capacities was routed.
+        // flow that produced those capacities was routed. The per-vertex
+        // counts are functions of `adj` and `cap`.
         self.n == other.n
             && self.head == other.head
             && self.cap == other.cap
@@ -125,6 +146,8 @@ impl FlowNetwork {
             cap: Vec::new(),
             orig_cap: Vec::new(),
             adj: vec![Vec::new(); n],
+            forward: vec![0; n],
+            open_stubs: vec![0; n],
             touched: Vec::new(),
             base_epoch: 0,
         }
@@ -155,7 +178,9 @@ impl FlowNetwork {
         self.head.push(v);
         self.cap.push(cap);
         self.orig_cap.push(cap);
-        self.adj[u as usize].push(id);
+        let forward = &mut self.forward[u as usize];
+        self.adj[u as usize].insert(*forward as usize, id);
+        *forward += 1;
         self.head.push(u);
         self.cap.push(0);
         self.orig_cap.push(0);
@@ -193,10 +218,48 @@ impl FlowNetwork {
         self.orig_cap[i as usize].saturating_sub(self.cap[i as usize])
     }
 
-    /// Arc ids leaving `v` (both forward arcs and reverse stubs).
+    /// Arc ids leaving `v`: its forward arcs, then its reverse stubs, each
+    /// group in the order the arcs were added.
     #[inline]
     pub fn arcs_from(&self, v: u32) -> &[u32] {
         &self.adj[v as usize]
+    }
+
+    /// The prefix of [`FlowNetwork::arcs_from`] that can hold residual
+    /// capacity: the forward arcs, plus the reverse stubs only while at
+    /// least one of them is open. Every arc leaving `v` with positive
+    /// residual is in this slice.
+    #[inline]
+    pub fn scan_arcs(&self, v: u32) -> &[u32] {
+        let v = v as usize;
+        if self.open_stubs[v] > 0 {
+            &self.adj[v]
+        } else {
+            &self.adj[v][..self.forward[v] as usize]
+        }
+    }
+
+    /// Number of reverse stubs (odd arc ids) leaving `v` whose residual
+    /// capacity is positive.
+    #[inline]
+    pub fn open_stub_count(&self, v: u32) -> u32 {
+        self.open_stubs[v as usize]
+    }
+
+    /// Sets the residual of arc `i` to `cap`, keeping the open-stub count
+    /// of the stub's tail in step when `i` is a stub.
+    #[inline]
+    fn set_residual(&mut self, i: usize, cap: u64) {
+        if i & 1 == 1 && (self.cap[i] > 0) != (cap > 0) {
+            // A stub's tail is the head of its forward arc.
+            let tail = self.head[i ^ 1] as usize;
+            if cap > 0 {
+                self.open_stubs[tail] += 1;
+            } else {
+                self.open_stubs[tail] -= 1;
+            }
+        }
+        self.cap[i] = cap;
     }
 
     /// Pushes `amount` units over arc `i` (and un-pushes over its pair).
@@ -206,10 +269,11 @@ impl FlowNetwork {
     /// Panics in debug builds if `amount` exceeds the residual capacity.
     #[inline]
     pub fn push(&mut self, i: u32, amount: u64) {
-        debug_assert!(self.cap[i as usize] >= amount, "push exceeds residual");
-        self.cap[i as usize] -= amount;
-        self.cap[(i ^ 1) as usize] += amount;
-        self.touched.push(i & !1);
+        let i = i as usize;
+        debug_assert!(self.cap[i] >= amount, "push exceeds residual");
+        self.set_residual(i, self.cap[i] - amount);
+        self.set_residual(i ^ 1, self.cap[i ^ 1] + amount);
+        self.touched.push(i as u32 & !1);
     }
 
     /// Restores all residual capacities to their original values so the
@@ -221,11 +285,17 @@ impl FlowNetwork {
     pub fn reset(&mut self) {
         if self.touched.len() >= self.cap.len() / 2 {
             self.cap.copy_from_slice(&self.orig_cap);
+            self.open_stubs.iter_mut().for_each(|c| *c = 0);
+            for stub in (1..self.cap.len()).step_by(2) {
+                if self.cap[stub] > 0 {
+                    self.open_stubs[self.head[stub ^ 1] as usize] += 1;
+                }
+            }
         } else {
-            for &arc in &self.touched {
-                let arc = arc as usize;
-                self.cap[arc] = self.orig_cap[arc];
-                self.cap[arc + 1] = self.orig_cap[arc + 1];
+            for i in 0..self.touched.len() {
+                let arc = self.touched[i] as usize;
+                self.set_residual(arc, self.orig_cap[arc]);
+                self.set_residual(arc + 1, self.orig_cap[arc + 1]);
             }
         }
         self.touched.clear();
@@ -251,7 +321,7 @@ impl FlowNetwork {
     /// Panics if `i` is out of range.
     pub fn set_base_capacity(&mut self, i: u32, cap: u64) {
         self.orig_cap[i as usize] = cap;
-        self.cap[i as usize] = cap;
+        self.set_residual(i as usize, cap);
         self.base_epoch += 1;
     }
 
@@ -287,7 +357,7 @@ impl FlowNetwork {
         seen[s as usize] = true;
         queue.push_back(s);
         while let Some(u) = queue.pop_front() {
-            for &a in &self.adj[u as usize] {
+            for &a in self.scan_arcs(u) {
                 if self.cap[a as usize] > 0 {
                     let v = self.head[a as usize];
                     if !seen[v as usize] {
@@ -562,6 +632,52 @@ mod tests {
         net.reset();
         assert_eq!(net.touched_len(), 0);
         assert_eq!(net.residual(a), 5);
+    }
+
+    #[test]
+    fn scan_arcs_skips_closed_stubs() {
+        // 0 -> 1 -> 2 plus 2 -> 1: vertex 1 has forward arc 1 -> 2 and the
+        // stubs of 0 -> 1 and 2 -> 1.
+        let mut net = FlowNetwork::new(3);
+        let a01 = net.add_arc(0, 1, 2);
+        let a12 = net.add_arc(1, 2, 2);
+        let a21 = net.add_arc(2, 1, 1);
+        assert_eq!(net.arcs_from(1), &[a12, a01 + 1, a21 + 1]);
+        assert_eq!(net.scan_arcs(1), &[a12]);
+        assert_eq!(net.open_stub_count(1), 0);
+        net.push(a01, 1);
+        assert_eq!(net.open_stub_count(1), 1);
+        assert_eq!(net.scan_arcs(1), net.arcs_from(1));
+        net.push(a01, 1);
+        net.push(a21, 1);
+        assert_eq!(net.open_stub_count(1), 2);
+        // Pushing back over a stub closes it again.
+        net.push(a01 + 1, 2);
+        assert_eq!(net.open_stub_count(1), 1);
+        net.reset();
+        assert_eq!(net.open_stub_count(1), 0);
+        assert_eq!(net.scan_arcs(1), &[a12]);
+        // A stub given a positive base capacity is open from then on.
+        net.set_base_capacity(a21 + 1, 3);
+        assert_eq!(net.open_stub_count(1), 1);
+        net.reset();
+        assert_eq!(net.open_stub_count(1), 1);
+    }
+
+    #[test]
+    fn full_copy_reset_recounts_open_stubs() {
+        // Flow over every arc pair takes the O(m) reset path, which must
+        // rebuild the counts from the base capacities.
+        let mut net = FlowNetwork::new(3);
+        let a01 = net.add_arc(0, 1, 1);
+        let a12 = net.add_arc(1, 2, 1);
+        net.set_base_capacity(a12 + 1, 2);
+        net.push(a01, 1);
+        net.push(a12, 1);
+        assert_eq!(net.touched_len(), net.arc_count());
+        assert_eq!((net.open_stub_count(1), net.open_stub_count(2)), (1, 1));
+        net.reset();
+        assert_eq!((net.open_stub_count(1), net.open_stub_count(2)), (0, 1));
     }
 
     #[test]

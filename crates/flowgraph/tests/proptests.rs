@@ -38,8 +38,163 @@ fn arb_network(max_n: usize) -> impl Strategy<Value = (FlowNetwork, u32, u32)> {
     })
 }
 
+/// Strategy: a general flow network — non-unit capacities, and arcs that
+/// may come with an antiparallel partner of a different capacity.
+fn arb_general_network(max_n: usize) -> impl Strategy<Value = FlowNetwork> {
+    (2..=max_n).prop_flat_map(|n| {
+        let arcs = proptest::collection::vec(
+            (0..n as u32, 0..n as u32, 1u64..20, any::<bool>()),
+            0..n * 3,
+        );
+        arcs.prop_map(move |arcs| {
+            let mut net = FlowNetwork::new(n);
+            for (u, v, c, antiparallel) in arcs {
+                if u != v {
+                    net.add_arc(u, v, c);
+                    if antiparallel {
+                        net.add_arc(v, u, c % 7 + 1);
+                    }
+                }
+            }
+            net
+        })
+    })
+}
+
+/// Recounts, from the public arc lists, the reverse stubs (odd arc ids)
+/// leaving each vertex with positive residual.
+fn recount_open_stubs(net: &FlowNetwork) -> Vec<u32> {
+    (0..net.node_count() as u32)
+        .map(|v| {
+            let open = net
+                .arcs_from(v)
+                .iter()
+                .filter(|&&a| a % 2 == 1 && net.residual(a) > 0);
+            open.count() as u32
+        })
+        .collect()
+}
+
+/// Checks the per-vertex kernel state against a recount: every vertex
+/// lists its forward arcs ahead of its stubs, its open-stub count is
+/// exact, and `scan_arcs` holds every arc with positive residual.
+fn check_kernel_state(net: &FlowNetwork) -> Result<(), TestCaseError> {
+    let recount = recount_open_stubs(net);
+    for v in 0..net.node_count() as u32 {
+        let arcs = net.arcs_from(v);
+        let forward = arcs.iter().take_while(|&&a| a % 2 == 0).count();
+        prop_assert!(
+            arcs[forward..].iter().all(|&a| a % 2 == 1),
+            "vertex {} lists a forward arc after a stub: {:?}",
+            v,
+            arcs
+        );
+        prop_assert_eq!(
+            net.open_stub_count(v),
+            recount[v as usize],
+            "open stubs of {}",
+            v
+        );
+        let scanned = net.scan_arcs(v);
+        prop_assert!(
+            arcs.starts_with(scanned),
+            "scan_arcs({}) is a prefix of arcs_from",
+            v
+        );
+        for &a in &arcs[scanned.len()..] {
+            prop_assert_eq!(net.residual(a), 0, "skipped arc {} of {} is open", a, v);
+        }
+    }
+    Ok(())
+}
+
+/// Checks a possibly cut-off flow value against the oracle's exact one.
+fn check_against_oracle(
+    got: u64,
+    exact: u64,
+    cutoff: Option<u64>,
+    what: &str,
+) -> Result<(), TestCaseError> {
+    match cutoff {
+        Some(c) if exact >= c => {
+            prop_assert!(
+                got >= c && got <= exact,
+                "{}: {} outside [{}, {}]",
+                what,
+                got,
+                c,
+                exact
+            );
+        }
+        _ => prop_assert_eq!(got, exact, "{}", what),
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The target-bounded kernels and their per-vertex stub counts stay
+    /// exact under any interleaving of batched and per-pair flows (varying
+    /// source, sink and cutoff), flows resumed on a network that already
+    /// carries a cut-off flow, base-capacity edits of forward arcs and stubs
+    /// alike, arc insertions and resets. After every step the value matches
+    /// Edmonds–Karp on a fresh clone and the open-stub counts match a
+    /// recount.
+    #[test]
+    fn kernel_state_survives_interleaved_edits(
+        net in arb_general_network(10),
+        steps in proptest::collection::vec((0u32..6, 0u32..64, 0u32..64, 0u64..8), 1..24),
+    ) {
+        let mut net = net;
+        let mut engine = BatchedDinic::new();
+        let mut ws = FlowWorkspace::new();
+        check_kernel_state(&net)?;
+        for (kind, a, b, c) in steps {
+            let n = net.node_count() as u32;
+            let (s, t) = (a % n, b % n);
+            // Cutoff 0 and 1 are common in κ_min sweeps; 7 means none.
+            let cutoff = (c < 7).then_some(c);
+            match kind {
+                0 | 1 if s != t => {
+                    net.reset();
+                    let mut oracle_net = net.clone();
+                    let exact = EdmondsKarp::new().max_flow(&mut oracle_net, s, t, None);
+                    let (got, what) = if kind == 0 {
+                        (engine.max_flow(&mut net, s, t, cutoff, &mut ws), "batched")
+                    } else {
+                        (Dinic::new().max_flow_with(&mut net, s, t, cutoff, &mut ws), "dinic")
+                    };
+                    check_against_oracle(got, exact, cutoff, what)?;
+                }
+                2 if s != t => {
+                    // Finish a cut-off flow without resetting: the second
+                    // run starts from open stubs and must add exactly the
+                    // missing units.
+                    net.reset();
+                    let mut oracle_net = net.clone();
+                    let exact = EdmondsKarp::new().max_flow(&mut oracle_net, s, t, None);
+                    let dinic = Dinic::new();
+                    let first = dinic.max_flow_with(&mut net, s, t, cutoff, &mut ws);
+                    check_kernel_state(&net)?;
+                    let rest = dinic.max_flow_with(&mut net, s, t, None, &mut ws);
+                    check_against_oracle(first + rest, exact, None, "resumed dinic")?;
+                }
+                3 if net.arc_count() > 0 => {
+                    net.reset();
+                    let arc = a % (2 * net.arc_count() as u32);
+                    net.set_base_capacity(arc, c % 4);
+                }
+                4 if s != t => {
+                    net.reset();
+                    net.add_arc(s, t, c + 1);
+                }
+                5 => net.reset(),
+                _ => {}
+            }
+            check_kernel_state(&net)?;
+        }
+    }
 
     /// Dinic computes the oracle's max-flow value on arbitrary networks.
     #[test]
